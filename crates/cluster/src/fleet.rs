@@ -27,11 +27,18 @@
 //! to [`FleetState::advance_into`]) rebuilds each accumulator from an
 //! exact ascending-index sum, bounding the drift between epochs.
 //!
-//! Jobs live in a slot arena: one global `Vec<JobSlot>` plus a
-//! singly-linked free list, with each server holding the head of its
-//! job list. Slot indices are stable `u32` handles while a job runs;
-//! completed slots recycle through the free list, so a steady-state
-//! run allocates nothing on the job path.
+//! Jobs live in one dense table: a `Vec<JobSlot>` holding every running
+//! job of the fleet, each slot tagged with its server. A completion
+//! swap-removes its slot, so the table stays packed and a steady-state
+//! run allocates nothing on the job path. [`FleetState::advance_into`]
+//! is one linear sweep over the table; it then refreshes the power of
+//! every server that lost a job in ascending server order, so the row
+//! accumulators receive their deltas in the same order as a per-server
+//! walk would apply them. The duplicate-job check in
+//! [`FleetState::place`] stays exact with an O(1) early-out: each server
+//! keeps a bound just above the highest raw job id ever placed on it,
+//! and only an id below that bound can already be running there; such
+//! an id falls back to scanning the table.
 
 use ampere_power::monitor::ServerSample;
 use ampere_power::{DvfsState, ServerPowerModel};
@@ -42,24 +49,27 @@ use crate::resources::Resources;
 use crate::server::{PlacementError, RunningJob};
 use crate::topology::{ClusterSpec, ServiceClass};
 
-/// Sentinel for "no slot" in the intrusive job lists.
-const NIL: u32 = u32::MAX;
-
 /// Ticks between accumulator re-sum epochs by default. Each delta op
 /// adds at most a couple of ULPs of the row sum, so at one-minute ticks
 /// this keeps the relative drift orders of magnitude under the 1e-9
 /// contract the property suite enforces.
 pub const DEFAULT_RESUM_INTERVAL: u32 = 64;
 
-/// One running job in the slot arena.
+/// The per-server bound a placement of `job` raises to: one above its
+/// raw id. Saturating, so ids `u64::MAX - 1` and `u64::MAX` share a
+/// bound and both keep taking the exact scan.
+fn id_bound(job: JobId) -> u64 {
+    job.raw().saturating_add(1)
+}
+
+/// One running job in the fleet's job table.
 #[derive(Debug, Clone, Copy)]
 struct JobSlot {
     job: JobId,
     resources: Resources,
     remaining_ms: f64,
-    /// Next slot of the same server's job list, or the next free slot
-    /// while recycled; `NIL` terminates either list.
-    next: u32,
+    /// Index of the server the job runs on.
+    server: u32,
 }
 
 /// Struct-of-arrays state for every server in the cluster.
@@ -83,12 +93,15 @@ pub(crate) struct FleetState {
     /// unless the builder assigns a mix) — static after construction
     /// apart from explicit retags, so it never touches the hot path.
     class: Vec<ServiceClass>,
-    /// Head slot of each server's job list (`NIL` when idle).
-    job_head: Vec<u32>,
     job_count: Vec<u32>,
-    // --- job slot arena ---
-    slots: Vec<JobSlot>,
-    free_head: u32,
+    /// One above the highest raw job id ever placed on each server
+    /// (0 = none): ids at or above it cannot be running there.
+    job_id_bound: Vec<u64>,
+    // --- job table ---
+    /// Every running job, packed by swap-remove (order is unspecified).
+    jobs: Vec<JobSlot>,
+    /// Scratch for [`Self::advance_into`]: servers that lost a job.
+    dirty: Vec<u32>,
     // --- incremental row aggregation ---
     servers_per_row: usize,
     /// Per-row power accumulator maintained by signed deltas.
@@ -109,6 +122,7 @@ impl FleetState {
         class_of: impl Fn(usize) -> (ServerPowerModel, Resources),
     ) -> Self {
         let n = spec.server_count();
+        assert!(u32::try_from(n).is_ok(), "job slots tag servers with a u32");
         let mut rack = Vec::with_capacity(n);
         let mut row = Vec::with_capacity(n);
         let mut model = Vec::with_capacity(n);
@@ -138,10 +152,10 @@ impl FleetState {
             dvfs: vec![DvfsState::nominal(); n],
             frozen: vec![false; n],
             class: vec![ServiceClass::default(); n],
-            job_head: vec![NIL; n],
             job_count: vec![0; n],
-            slots: Vec::new(),
-            free_head: NIL,
+            job_id_bound: vec![0; n],
+            jobs: Vec::new(),
+            dirty: Vec::new(),
             servers_per_row: spec.servers_per_row(),
             row_power_acc: vec![0.0; spec.rows],
             row_frozen: vec![0; spec.rows],
@@ -209,22 +223,32 @@ impl FleetState {
         self.job_count[i] as usize
     }
 
+    /// The jobs running on server `i`, in table order — a filter over
+    /// the whole fleet's table, so O(jobs in the fleet).
     pub(crate) fn jobs(&self, i: usize) -> impl Iterator<Item = (JobId, RunningJob)> + '_ {
-        let mut cur = self.job_head[i];
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let slot = &self.slots[cur as usize];
-            cur = slot.next;
-            Some((
-                slot.job,
-                RunningJob {
-                    resources: slot.resources,
-                    remaining_ms: slot.remaining_ms,
-                },
-            ))
-        })
+        self.jobs
+            .iter()
+            .filter(move |slot| slot.server as usize == i)
+            .map(|slot| {
+                (
+                    slot.job,
+                    RunningJob {
+                        resources: slot.resources,
+                        remaining_ms: slot.remaining_ms,
+                    },
+                )
+            })
+    }
+
+    /// Table position of `job` on server `i`, if it is running there.
+    /// O(1) for an id at or above the server's bound, else a table scan.
+    fn find_job(&self, i: usize, job: JobId) -> Option<usize> {
+        if id_bound(job) > self.job_id_bound[i] {
+            return None;
+        }
+        self.jobs
+            .iter()
+            .position(|slot| slot.server as usize == i && slot.job == job)
     }
 
     /// Re-derives the cached utilization and power of server `i` after
@@ -237,19 +261,6 @@ impl FleetState {
         self.power[i] = p;
     }
 
-    fn alloc_slot(&mut self, slot: JobSlot) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next;
-            self.slots[idx as usize] = slot;
-            idx
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("job arena overflow");
-            self.slots.push(slot);
-            idx
-        }
-    }
-
     // --- per-server mutations ---
 
     pub(crate) fn place(
@@ -259,53 +270,34 @@ impl FleetState {
         resources: Resources,
         duration: SimDuration,
     ) -> Result<(), PlacementError> {
-        let mut cur = self.job_head[i];
-        while cur != NIL {
-            let slot = &self.slots[cur as usize];
-            if slot.job == job {
-                return Err(PlacementError::DuplicateJob);
-            }
-            cur = slot.next;
+        if self.find_job(i, job).is_some() {
+            return Err(PlacementError::DuplicateJob);
         }
         if !(self.capacity[i] - self.allocated[i]).fits(&resources) {
             return Err(PlacementError::InsufficientResources);
         }
         self.allocated[i] += resources;
-        let head = self.job_head[i];
-        let idx = self.alloc_slot(JobSlot {
+        self.jobs.push(JobSlot {
             job,
             resources,
             remaining_ms: duration.as_millis() as f64,
-            next: head,
+            server: i as u32,
         });
-        self.job_head[i] = idx;
         self.job_count[i] += 1;
+        self.job_id_bound[i] = self.job_id_bound[i].max(id_bound(job));
         self.refresh_power(i);
         Ok(())
     }
 
     pub(crate) fn terminate(&mut self, i: usize, job: JobId) -> bool {
-        let mut prev = NIL;
-        let mut cur = self.job_head[i];
-        while cur != NIL {
-            let next = self.slots[cur as usize].next;
-            if self.slots[cur as usize].job == job {
-                self.allocated[i] -= self.slots[cur as usize].resources;
-                if prev == NIL {
-                    self.job_head[i] = next;
-                } else {
-                    self.slots[prev as usize].next = next;
-                }
-                self.slots[cur as usize].next = self.free_head;
-                self.free_head = cur;
-                self.job_count[i] -= 1;
-                self.refresh_power(i);
-                return true;
-            }
-            prev = cur;
-            cur = next;
-        }
-        false
+        let Some(k) = self.find_job(i, job) else {
+            return false;
+        };
+        let slot = self.jobs.swap_remove(k);
+        self.allocated[i] -= slot.resources;
+        self.job_count[i] -= 1;
+        self.refresh_power(i);
+        true
     }
 
     pub(crate) fn set_dvfs(&mut self, i: usize, state: DvfsState) {
@@ -384,42 +376,36 @@ impl FleetState {
     }
 
     /// Advances every running job by one tick (work scaled by the DVFS
-    /// frequency), appending `(server, job)` completions to `out` and
-    /// ticking the re-sum epoch counter.
+    /// frequency), appending `(server, job)` completions to `out` in
+    /// table order and ticking the re-sum epoch counter.
     pub(crate) fn advance_into(&mut self, tick: SimDuration, out: &mut Vec<(ServerId, JobId)>) {
         let tick_ms = tick.as_millis() as f64;
-        for i in 0..self.len() {
-            if self.job_count[i] == 0 {
-                continue;
-            }
-            let progress = tick_ms * self.dvfs[i].freq();
-            let mut prev = NIL;
-            let mut cur = self.job_head[i];
-            let mut completed = false;
-            while cur != NIL {
-                let next = self.slots[cur as usize].next;
-                self.slots[cur as usize].remaining_ms -= progress;
-                if self.slots[cur as usize].remaining_ms <= 0.0 {
-                    out.push((ServerId::new(i as u64), self.slots[cur as usize].job));
-                    self.allocated[i] -= self.slots[cur as usize].resources;
-                    if prev == NIL {
-                        self.job_head[i] = next;
-                    } else {
-                        self.slots[prev as usize].next = next;
-                    }
-                    self.slots[cur as usize].next = self.free_head;
-                    self.free_head = cur;
-                    self.job_count[i] -= 1;
-                    completed = true;
-                } else {
-                    prev = cur;
-                }
-                cur = next;
-            }
-            if completed {
-                self.refresh_power(i);
+        let mut k = 0;
+        while k < self.jobs.len() {
+            let slot = &mut self.jobs[k];
+            let i = slot.server as usize;
+            slot.remaining_ms -= tick_ms * self.dvfs[i].freq();
+            if slot.remaining_ms <= 0.0 {
+                // The last slot moves into `k` and is visited next.
+                let slot = self.jobs.swap_remove(k);
+                out.push((ServerId::new(i as u64), slot.job));
+                self.allocated[i] -= slot.resources;
+                self.job_count[i] -= 1;
+                self.dirty.push(slot.server);
+            } else {
+                k += 1;
             }
         }
+        // Ascending server order: each row accumulator takes its deltas
+        // in the order a per-server walk would apply them.
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &i in &dirty {
+            self.refresh_power(i as usize);
+        }
+        dirty.clear();
+        self.dirty = dirty;
         self.ticks_since_resum += 1;
         if self.ticks_since_resum >= self.resum_interval {
             self.resum();
@@ -474,14 +460,13 @@ impl FleetState {
         self.resum_epochs
     }
 
-    /// Live job slots (arena occupancy minus the free list) — exposed
-    /// for arena-recycling tests.
+    /// Running jobs across the fleet (the job table's length).
     pub(crate) fn live_jobs(&self) -> usize {
-        self.job_count.iter().map(|&c| c as usize).sum()
+        self.jobs.len()
     }
 
-    /// Total arena capacity ever allocated, recycled slots included.
+    /// Capacity of the job table — exposed for slot-recycling tests.
     pub(crate) fn arena_slots(&self) -> usize {
-        self.slots.len()
+        self.jobs.capacity()
     }
 }

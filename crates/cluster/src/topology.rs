@@ -466,7 +466,8 @@ impl Cluster {
     }
 
     /// Advances every server by one tick; returns `(server, job)` pairs
-    /// for completed jobs.
+    /// for completed jobs. Their order is an engine detail (job-table
+    /// order on flat, server then id order on nested).
     pub fn advance(&mut self, tick: SimDuration) -> Vec<(ServerId, JobId)> {
         let mut done = Vec::new();
         self.advance_into(tick, &mut done);
@@ -512,7 +513,7 @@ impl Cluster {
         }
     }
 
-    /// Live job count across the fleet (arena occupancy on flat).
+    /// Live job count across the fleet (the job table's length on flat).
     pub fn total_jobs(&self) -> usize {
         match &self.storage {
             Storage::Flat(f) => f.live_jobs(),
@@ -520,8 +521,8 @@ impl Cluster {
         }
     }
 
-    /// Job-slot arena capacity on the flat engine (recycled slots
-    /// included); 0 on nested. Exposed for arena-recycling tests.
+    /// Job-table capacity on the flat engine (slots freed by completions
+    /// included); 0 on nested. Exposed for slot-recycling tests.
     pub fn arena_slots(&self) -> usize {
         match &self.storage {
             Storage::Flat(f) => f.arena_slots(),
@@ -638,8 +639,10 @@ impl<'a> ServerRef<'a> {
     }
 
     /// Iterates over running jobs by value. Iteration *order* is an
-    /// engine detail (insertion order on flat, id order on nested);
-    /// callers must treat the jobs as a set.
+    /// engine detail (job-table order on flat, id order on nested);
+    /// callers must treat the jobs as a set. On flat this filters the
+    /// fleet's whole job table — O(jobs in the fleet), so it stays off
+    /// the per-tick hot path.
     pub fn jobs(&self) -> Box<dyn Iterator<Item = (JobId, RunningJob)> + 'a> {
         match &self.cluster.storage {
             Storage::Flat(f) => Box::new(f.jobs(self.index)),
@@ -665,7 +668,9 @@ impl ServerMut<'_> {
     }
 
     /// Forcibly terminates a job (e.g. preemption tests), freeing its
-    /// resources. Returns whether the job was running here.
+    /// resources. Returns whether the job was running here. On flat a
+    /// job id below the server's id bound costs a scan of the fleet's
+    /// job table — O(jobs in the fleet), off the per-tick hot path.
     pub fn terminate(&mut self, job: JobId) -> bool {
         match &mut self.cluster.storage {
             Storage::Flat(f) => f.terminate(self.index, job),
@@ -880,6 +885,49 @@ mod tests {
         assert_eq!(c.total_jobs(), 0);
         // The arena never grew past one round's worth of slots.
         assert_eq!(c.arena_slots(), 8);
+    }
+
+    #[test]
+    fn duplicate_check_is_exact_for_out_of_order_ids() {
+        let mut c = Cluster::new(ClusterSpec::tiny());
+        let r = Resources::cores_gb(1, 1);
+        let (a, b) = (ServerId::new(2), ServerId::new(5));
+        let place = |c: &mut Cluster, s, job, mins| {
+            c.server_mut(s)
+                .place(JobId::new(job), r, SimDuration::from_mins(mins))
+        };
+        // 3 is below the bound that placing 10 raised.
+        place(&mut c, a, 10, 5).unwrap();
+        place(&mut c, a, 3, 1).unwrap();
+        assert_eq!(place(&mut c, a, 3, 1), Err(PlacementError::DuplicateJob));
+        assert_eq!(place(&mut c, a, 10, 1), Err(PlacementError::DuplicateJob));
+        // Job ids are per server: another server accepts the same id.
+        place(&mut c, b, 3, 1).unwrap();
+        // Once 3 completes it may run on `a` again.
+        let mut done = c.advance(SimDuration::MINUTE);
+        done.sort();
+        assert_eq!(done, vec![(a, JobId::new(3)), (b, JobId::new(3))]);
+        place(&mut c, a, 3, 1).unwrap();
+        assert_eq!(c.server(a).job_count(), 2);
+        // Termination goes through the same exact lookup.
+        assert!(!c.server_mut(b).terminate(JobId::new(3)));
+        assert!(c.server_mut(a).terminate(JobId::new(3)));
+        assert!(!c.server_mut(a).terminate(JobId::new(3)));
+        assert_eq!(
+            c.server(a).jobs().map(|(j, _)| j).collect::<Vec<_>>(),
+            vec![JobId::new(10)]
+        );
+        // The bound saturates at the top of the id space and stays exact.
+        place(&mut c, b, u64::MAX, 1).unwrap();
+        place(&mut c, b, u64::MAX - 1, 1).unwrap();
+        assert_eq!(
+            place(&mut c, b, u64::MAX, 1),
+            Err(PlacementError::DuplicateJob)
+        );
+        assert_eq!(
+            place(&mut c, b, u64::MAX - 1, 1),
+            Err(PlacementError::DuplicateJob)
+        );
     }
 
     #[test]

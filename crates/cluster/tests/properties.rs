@@ -66,7 +66,9 @@ fn accounting_invariants_hold_under_random_ops() {
                     let jid = JobId::new(job as u64);
                     let res = Resources::cores_gb(cores as u64, gb as u64);
                     let fits = cluster.server(sid).free().fits(&res);
-                    let dup = cluster.server(sid).jobs().any(|(j, _)| j == jid);
+                    // The oracle is the model, not the engine's own job
+                    // listing: the duplicate check must agree with it.
+                    let dup = live.contains(&(server, job));
                     match cluster.server_mut(sid).place(
                         jid,
                         res,

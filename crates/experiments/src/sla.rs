@@ -454,7 +454,12 @@ pub fn run(config: &SlaConfig) -> SlaResult {
                 .sum(),
             froze: rows
                 .iter()
-                .map(|s| s.tb.records(s.domain).iter().map(|r| r.froze as u64).sum::<u64>())
+                .map(|s| {
+                    s.tb.records(s.domain)
+                        .iter()
+                        .map(|r| r.froze as u64)
+                        .sum::<u64>()
+                })
                 .sum(),
             unfroze: rows
                 .iter()

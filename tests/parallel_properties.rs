@@ -193,6 +193,9 @@ fn handle_and_string_keyed_paths_export_identical_jsonl() {
 
 #[test]
 fn trajectory_checksum_is_worker_count_invariant() {
+    // Shards capture under whatever pipeline is installed globally, so
+    // running unlocked would replay into another test's dump.
+    let _guard = GLOBAL_PIPELINE.lock().unwrap();
     let checksum = |rows: usize, workers: usize, seed: u64| {
         let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(rows, workers, seed));
         sharded.run_for(SimDuration::from_mins(20));
