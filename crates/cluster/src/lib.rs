@@ -1,16 +1,18 @@
 //! Data-center topology and resource model.
 //!
-//! Substitutes the paper's physical fleet: a [`Cluster`] is a dense
-//! table of [`Server`]s organized into racks and rows (≈ 40 servers per
-//! 8–10 kW rack, ≈ 20 racks per row/PDU, §2.1). Each server tracks its
+//! Substitutes the paper's physical fleet: a [`Cluster`] holds every
+//! server of a data-center slice, organized into racks and rows (≈ 40
+//! servers per 8–10 kW rack, ≈ 20 racks per row/PDU, §2.1), as dense
+//! per-server columns indexed by [`ServerId`]. Each server tracks its
 //! allocated resources, its running jobs' remaining work, its DVFS state
 //! and its frozen flag; power draw is derived from the
-//! [`ampere_power::ServerPowerModel`].
+//! [`ampere_power::ServerPowerModel`]. [`ServerRef`] and [`ServerMut`]
+//! view one server.
 //!
 //! The simulation is tick-driven at the granularity the paper measures
-//! (one minute): [`Server::advance`] progresses running jobs by one tick
-//! scaled by the DVFS frequency and reports completions, which the
-//! scheduler uses to free resources.
+//! (one minute): [`Cluster::advance`] progresses every running job by one
+//! tick scaled by its server's DVFS frequency and reports completions,
+//! which the scheduler uses to free resources.
 //!
 //! # Example
 //!
@@ -37,13 +39,16 @@
 //! assert_eq!(cluster.server(ServerId::new(7)).job_count(), 0);
 //! ```
 
-pub mod fleet;
 pub mod ids;
 pub mod resources;
-pub mod server;
 pub mod topology;
+
+#[cfg(test)]
+#[path = "server_tests.rs"]
+mod server;
 
 pub use ids::{JobId, RackId, RowId, ServerId};
 pub use resources::Resources;
-pub use server::{PlacementError, RunningJob, Server};
-pub use topology::{Cluster, ClusterSpec, EngineKind, ServerMut, ServerRef, ServiceClass};
+pub use topology::{
+    Cluster, ClusterSpec, PlacementError, RunningJob, ServerMut, ServerRef, ServiceClass,
+};

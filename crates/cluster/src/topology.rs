@@ -5,29 +5,57 @@
 //! tables and per-row scans are cache-friendly — the controller scans
 //! one row per tick at data-center scale.
 //!
-//! Two storage engines back a [`Cluster`]:
+//! A [`Cluster`] stores the fleet as struct-of-arrays: every per-server
+//! field lives in its own `Vec` indexed by the dense id, so the per-tick
+//! loops that dominate a simulation — the measurement sweep, job
+//! progression, the scheduler's candidate scan — are linear walks over
+//! contiguous arrays (DESIGN §14). [`ServerRef`] and [`ServerMut`] are
+//! index views into those columns.
 //!
-//! - **Flat** (default): struct-of-arrays [`FleetState`] with cached
-//!   per-server power and incremental per-row accumulators — the
-//!   hyperscale hot path (DESIGN §14).
-//! - **Nested**: the pre-SoA `Vec<Server>` layout, kept constructible
-//!   behind the `legacy-nested` cargo feature for one release so the
-//!   differential suite can prove the flat engine bit-exact against it.
+//! Two invariants keep trajectories bit-exact, as pinned by the goldens
+//! in `crates/experiments/tests/trajectory_goldens.rs`:
 //!
-//! Per-server access goes through the [`ServerRef`] / [`ServerMut`]
-//! proxies, which dispatch to whichever engine is active. Both engines
-//! share the exact same observable semantics; the differential tests in
-//! `crates/experiments/tests/flat_fleet_differential.rs` hold them to
-//! byte-identical telemetry.
+//! - **Cached power is a pure function.** [`ServerRef::power_w`] always
+//!   equals `power_model().power_w(utilization(), dvfs())`, recomputed
+//!   at every mutation of the inputs, so a sweep reads the same bits an
+//!   evaluation of the model at sample time would produce.
+//! - **Integral resource accounting.** [`Resources`] is integral
+//!   (millicores / MB), so allocations never depend on the order jobs
+//!   start or stop.
+//!
+//! Row power is tracked *incrementally*: every mutation applies the
+//! signed delta `new_power − old_power` to its row's accumulator, so
+//! [`Cluster::row_power_w`] is O(1) instead of an O(servers-per-row)
+//! re-sum. Floating-point deltas drift, so a periodic *re-sum epoch*
+//! (every [`Cluster::set_power_resum_interval`] calls to
+//! [`Cluster::advance`]) rebuilds each accumulator from the exact
+//! ascending-index sum of [`Cluster::exact_row_power_w`], bounding the
+//! drift between epochs.
+//!
+//! Jobs live in one dense table holding every running job of the fleet,
+//! each entry tagged with its server. A completion swap-removes its
+//! entry, so the table stays packed and a steady-state run allocates
+//! nothing on the job path. [`Cluster::advance`] is one linear sweep over
+//! the table; it then refreshes the power of every server that lost a
+//! job in ascending server order, so the row accumulators receive their
+//! deltas in the same order as a per-server walk would apply them. The
+//! duplicate-job check in [`ServerMut::place`] stays exact with an O(1)
+//! early-out: each server keeps a bound just above the highest raw job
+//! id ever placed on it, and only an id below that bound can already be
+//! running there; such an id falls back to scanning the table.
 
 use ampere_power::monitor::ServerSample;
 use ampere_power::{DvfsState, ServerPowerModel};
 use ampere_sim::SimDuration;
 
-use crate::fleet::FleetState;
 use crate::ids::{JobId, RackId, RowId, ServerId};
 use crate::resources::Resources;
-use crate::server::{PlacementError, RunningJob, Server};
+
+/// Ticks between accumulator re-sum epochs by default. Each delta op
+/// adds at most a couple of ULPs of the row sum, so at one-minute ticks
+/// this keeps the relative drift orders of magnitude under the 1e-9
+/// contract the property suite enforces.
+const DEFAULT_RESUM_INTERVAL: u32 = 64;
 
 /// What a server serves: user-facing interactive traffic (protected
 /// by the SLA-aware freeze selector) or deferrable batch work (frozen
@@ -55,19 +83,6 @@ impl ServiceClass {
             ServiceClass::Batch => "batch",
         }
     }
-}
-
-/// Which storage engine backs a [`Cluster`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Flat struct-of-arrays fleet storage (the hyperscale hot path).
-    #[default]
-    Flat,
-    /// Legacy nested `Vec<Server>` storage. Only constructible with the
-    /// `legacy-nested` cargo feature; retained for one release as the
-    /// reference the differential suite measures the flat engine
-    /// against.
-    Nested,
 }
 
 /// Static description of a cluster to build.
@@ -139,33 +154,104 @@ impl ClusterSpec {
     }
 }
 
-/// Storage engine behind a [`Cluster`].
-// One Storage exists per Cluster and it is never moved on the hot
-// path, so the inline FleetState (vs the thin Nested vec) costs
-// nothing; boxing it would add a pointer chase to every tick.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Storage {
-    Flat(FleetState),
-    #[cfg_attr(not(feature = "legacy-nested"), allow(dead_code))]
-    Nested(Vec<Server>),
+/// Why a job could not be placed on a server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementError {
+    /// Not enough free CPU or memory.
+    InsufficientResources,
+    /// The job id is already running on this server.
+    DuplicateJob,
 }
 
-/// The simulated fleet.
+impl std::fmt::Display for PlacementError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlacementError::InsufficientResources => write!(f, "insufficient resources"),
+            PlacementError::DuplicateJob => write!(f, "job already placed here"),
+        }
+    }
+}
+
+impl std::error::Error for PlacementError {}
+
+/// Execution state of one job on a server.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunningJob {
+    /// Resources the job holds while running.
+    pub resources: Resources,
+    /// Remaining *nominal* work in milliseconds (at full frequency).
+    pub remaining_ms: f64,
+}
+
+/// The per-server bound a placement of `job` raises to: one above its
+/// raw id. Saturating, so ids `u64::MAX - 1` and `u64::MAX` share a
+/// bound and both keep taking the exact scan.
+fn id_bound(job: JobId) -> u64 {
+    job.raw().saturating_add(1)
+}
+
+/// One running job in the fleet's job table.
+#[derive(Debug, Clone, Copy)]
+struct JobSlot {
+    job: JobId,
+    resources: Resources,
+    remaining_ms: f64,
+    /// Index of the server the job runs on.
+    server: u32,
+}
+
+/// The simulated fleet, one column per per-server field.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
-    storage: Storage,
+    // --- static identity (parallel to server index) ---
+    rack: Vec<u32>,
+    row: Vec<u32>,
+    model: Vec<ServerPowerModel>,
+    capacity: Vec<Resources>,
+    // --- dynamic state ---
+    allocated: Vec<Resources>,
+    /// Cached CPU utilization: `allocated.cpu_fraction_of(capacity)`.
+    util: Vec<f64>,
+    /// Cached power: `model.power_w(util, dvfs)`, maintained at every
+    /// mutation so sweeps read instead of recompute.
+    power: Vec<f64>,
+    dvfs: Vec<DvfsState>,
+    frozen: Vec<bool>,
+    /// Service class of each server (all [`ServiceClass::Interactive`]
+    /// unless the builder assigns a mix) — static after construction
+    /// apart from explicit retags, so it never touches the hot path.
+    class: Vec<ServiceClass>,
+    job_count: Vec<u32>,
+    /// One above the highest raw job id ever placed on each server
+    /// (0 = none): ids at or above it cannot be running there.
+    job_id_bound: Vec<u64>,
+    // --- job table ---
+    /// Every running job, packed by swap-remove (order is unspecified).
+    jobs: Vec<JobSlot>,
+    /// Scratch for [`Cluster::advance_into`]: servers that lost a job.
+    dirty: Vec<u32>,
+    // --- incremental row aggregation ---
+    /// Per-row power accumulator maintained by signed deltas.
+    row_power_acc: Vec<f64>,
+    /// Per-row frozen-server counts (integral, hence always exact).
+    row_frozen: Vec<u32>,
+    /// Whether any server may be below nominal frequency — lets the
+    /// per-tick bulk DVFS reset short-circuit on uncapped fleets.
+    any_non_nominal: bool,
+    resum_interval: u32,
+    ticks_since_resum: u32,
+    resum_epochs: u64,
 }
 
-/// Shared view of one server, dispatching to the active engine.
+/// Shared view of one server: its index into the cluster's columns.
 #[derive(Clone, Copy)]
 pub struct ServerRef<'a> {
     cluster: &'a Cluster,
     index: usize,
 }
 
-/// Mutable view of one server, dispatching to the active engine.
+/// Mutable view of one server: its index into the cluster's columns.
 pub struct ServerMut<'a> {
     cluster: &'a mut Cluster,
     index: usize,
@@ -173,7 +259,7 @@ pub struct ServerMut<'a> {
 
 impl Cluster {
     /// Builds an idle, homogeneous cluster from a spec (the paper's
-    /// evaluation row is homogeneous, §4.1.1) on the flat engine.
+    /// evaluation row is homogeneous, §4.1.1).
     pub fn new(spec: ClusterSpec) -> Self {
         Self::new_with(spec, |_| (spec.power_model, spec.capacity))
     }
@@ -187,68 +273,60 @@ impl Cluster {
         spec: ClusterSpec,
         class_of: impl Fn(usize) -> (ServerPowerModel, Resources),
     ) -> Self {
-        Self::new_with_engine(spec, EngineKind::Flat, class_of)
-    }
-
-    /// Builds an idle cluster on an explicit storage engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`EngineKind::Nested`] unless the `legacy-nested`
-    /// cargo feature is enabled — release builds carry only the flat
-    /// engine.
-    pub fn new_with_engine(
-        spec: ClusterSpec,
-        engine: EngineKind,
-        class_of: impl Fn(usize) -> (ServerPowerModel, Resources),
-    ) -> Self {
         assert!(spec.rows > 0 && spec.racks_per_row > 0 && spec.servers_per_rack > 0);
-        let storage = match engine {
-            EngineKind::Flat => Storage::Flat(FleetState::new(&spec, class_of)),
-            #[cfg(feature = "legacy-nested")]
-            EngineKind::Nested => {
-                let mut servers = Vec::with_capacity(spec.server_count());
-                for row in 0..spec.rows {
-                    for rack_in_row in 0..spec.racks_per_row {
-                        let rack = RackId::new((row * spec.racks_per_row + rack_in_row) as u64);
-                        for _ in 0..spec.servers_per_rack {
-                            let id = ServerId::new(servers.len() as u64);
-                            let (model, capacity) = class_of(servers.len());
-                            servers.push(Server::new(
-                                id,
-                                rack,
-                                RowId::new(row as u64),
-                                model,
-                                capacity,
-                            ));
-                        }
-                    }
+        let n = spec.server_count();
+        assert!(u32::try_from(n).is_ok(), "job slots tag servers with a u32");
+        let mut rack = Vec::with_capacity(n);
+        let mut row = Vec::with_capacity(n);
+        let mut model = Vec::with_capacity(n);
+        let mut capacity = Vec::with_capacity(n);
+        let mut power = Vec::with_capacity(n);
+        for r in 0..spec.rows {
+            for rack_in_row in 0..spec.racks_per_row {
+                let rack_id = (r * spec.racks_per_row + rack_in_row) as u32;
+                for _ in 0..spec.servers_per_rack {
+                    let (m, cap) = class_of(rack.len());
+                    rack.push(rack_id);
+                    row.push(r as u32);
+                    power.push(m.power_w(0.0, DvfsState::nominal()));
+                    model.push(m);
+                    capacity.push(cap);
                 }
-                Storage::Nested(servers)
             }
-            #[cfg(not(feature = "legacy-nested"))]
-            EngineKind::Nested => {
-                panic!("nested engine requires the `legacy-nested` cargo feature")
-            }
-        };
-        Self { spec, storage }
-    }
-
-    /// Which storage engine this cluster runs on.
-    pub fn engine(&self) -> EngineKind {
-        match &self.storage {
-            Storage::Flat(_) => EngineKind::Flat,
-            Storage::Nested(_) => EngineKind::Nested,
         }
+        let mut cluster = Self {
+            spec,
+            rack,
+            row,
+            model,
+            capacity,
+            allocated: vec![Resources::ZERO; n],
+            util: vec![0.0; n],
+            power,
+            dvfs: vec![DvfsState::nominal(); n],
+            frozen: vec![false; n],
+            class: vec![ServiceClass::default(); n],
+            job_count: vec![0; n],
+            job_id_bound: vec![0; n],
+            jobs: Vec::new(),
+            dirty: Vec::new(),
+            row_power_acc: vec![0.0; spec.rows],
+            row_frozen: vec![0; spec.rows],
+            any_non_nominal: false,
+            resum_interval: DEFAULT_RESUM_INTERVAL,
+            ticks_since_resum: 0,
+            resum_epochs: 0,
+        };
+        cluster.force_power_resum();
+        cluster.resum_epochs = 0;
+        cluster
     }
 
     /// Sum of the *actual* rated power over one row. Equals
     /// `spec.rated_row_power_w()` for homogeneous fleets, differs for
     /// clusters built with [`Cluster::new_with`].
     pub fn actual_rated_row_power_w(&self, row: RowId) -> f64 {
-        self.row_server_ids(row)
-            .map(|id| self.server(id).rated_w())
-            .sum()
+        self.row_range(row).map(|i| self.model[i].rated_w).sum()
     }
 
     /// The building spec.
@@ -258,10 +336,7 @@ impl Cluster {
 
     /// Total number of servers.
     pub fn server_count(&self) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.len(),
-            Storage::Nested(s) => s.len(),
-        }
+        self.rack.len()
     }
 
     /// Number of rows.
@@ -297,9 +372,7 @@ impl Cluster {
 
     /// Iterates over the servers of one row in ascending id order.
     pub fn iter_row(&self, row: RowId) -> impl Iterator<Item = ServerRef<'_>> {
-        let per_row = self.spec.servers_per_row();
-        let start = row.index() * per_row;
-        (start..start + per_row).map(move |index| ServerRef {
+        self.row_range(row).map(move |index| ServerRef {
             cluster: self,
             index,
         })
@@ -307,130 +380,118 @@ impl Cluster {
 
     /// Ids of the servers in `row` (dense range).
     pub fn row_server_ids(&self, row: RowId) -> impl Iterator<Item = ServerId> {
+        self.row_range(row).map(|i| ServerId::new(i as u64))
+    }
+
+    /// Dense index range of the servers in `row`.
+    fn row_range(&self, row: RowId) -> std::ops::Range<usize> {
         let per_row = self.spec.servers_per_row();
         let start = row.index() * per_row;
-        (start..start + per_row).map(|i| ServerId::new(i as u64))
+        start..start + per_row
     }
 
     /// Visits every unfrozen server in ascending id order with
-    /// `(id, row, free, utilization)` — the scheduler's candidate scan.
-    /// On the flat engine this is a linear walk over contiguous arrays.
+    /// `(id, row, free, utilization)` — the scheduler's candidate scan,
+    /// a linear walk over contiguous arrays.
     pub fn each_candidate(&self, mut f: impl FnMut(ServerId, RowId, Resources, f64)) {
-        match &self.storage {
-            Storage::Flat(fleet) => fleet.each_candidate(f),
-            Storage::Nested(servers) => {
-                for s in servers {
-                    if !s.is_frozen() {
-                        f(s.id(), s.row(), s.free(), s.utilization());
-                    }
-                }
+        for i in 0..self.server_count() {
+            if self.frozen[i] {
+                continue;
             }
+            f(
+                ServerId::new(i as u64),
+                RowId::new(self.row[i] as u64),
+                self.capacity[i] - self.allocated[i],
+                self.util[i],
+            );
         }
     }
 
     /// Instantaneous power of one row in watts.
     ///
-    /// On the flat engine this reads the delta-maintained accumulator:
-    /// O(1), exact at every re-sum epoch and drift-bounded (≤ 1e-9
-    /// relative) between epochs. Use [`Cluster::exact_row_power_w`]
-    /// when bit-exact sums are required.
+    /// Reads the delta-maintained accumulator: O(1), exact at every
+    /// re-sum epoch and drift-bounded (≤ 1e-9 relative) between epochs.
+    /// Use [`Cluster::exact_row_power_w`] when bit-exact sums are
+    /// required.
     pub fn row_power_w(&self, row: RowId) -> f64 {
-        match &self.storage {
-            Storage::Flat(f) => f.row_power_acc_w(row.index()),
-            Storage::Nested(_) => self.exact_row_power_w(row),
-        }
+        self.row_power_acc[row.index()]
     }
 
-    /// Instantaneous power of one row as an exact ascending-id sum.
+    /// Instantaneous power of one row as an exact ascending-id sum over
+    /// the cached per-server values — the reference the accumulator is
+    /// measured against.
     pub fn exact_row_power_w(&self, row: RowId) -> f64 {
-        match &self.storage {
-            Storage::Flat(f) => f.exact_row_power_w(row.index()),
-            Storage::Nested(_) => self.iter_row(row).map(|s| s.power_w()).sum(),
-        }
+        self.power[self.row_range(row)].iter().sum()
     }
 
     /// Instantaneous power of one rack in watts.
     pub fn rack_power_w(&self, rack: RackId) -> f64 {
-        self.iter()
-            .filter(|s| s.rack() == rack)
-            .map(|s| s.power_w())
+        let rack = rack.raw() as u32;
+        self.rack
+            .iter()
+            .zip(&self.power)
+            .filter(|&(&r, _)| r == rack)
+            .map(|(_, &p)| p)
             .sum()
     }
 
-    /// Instantaneous total power in watts.
+    /// Instantaneous total power in watts: the sum of the row
+    /// accumulators.
     pub fn total_power_w(&self) -> f64 {
-        match &self.storage {
-            Storage::Flat(f) => (0..self.spec.rows).map(|r| f.row_power_acc_w(r)).sum(),
-            Storage::Nested(s) => s.iter().map(Server::power_w).sum(),
-        }
+        self.row_power_acc.iter().sum()
     }
 
-    /// Service class of one server. The legacy nested engine does not
-    /// carry class tags; it reports the default
-    /// ([`ServiceClass::Interactive`]) for every server, matching a
-    /// flat fleet that was never retagged.
+    /// Service class of one server.
     pub fn service_class(&self, id: ServerId) -> ServiceClass {
-        match &self.storage {
-            Storage::Flat(f) => f.service_class(id.index()),
-            Storage::Nested(_) => ServiceClass::default(),
-        }
+        self.class[id.index()]
     }
 
-    /// Retags one server's service class (no-op on the legacy nested
-    /// engine, which carries no class storage).
+    /// Retags one server's service class.
     pub fn set_service_class(&mut self, id: ServerId, class: ServiceClass) {
         assert!(id.index() < self.server_count(), "unknown server {id}");
-        if let Storage::Flat(f) = &mut self.storage {
-            f.set_service_class(id.index(), class);
-        }
+        self.class[id.index()] = class;
     }
 
     /// Assigns every server's service class from `class_of(index)` —
     /// the bulk path mixed-fleet builders use after construction.
     pub fn set_service_classes(&mut self, class_of: impl Fn(usize) -> ServiceClass) {
-        if let Storage::Flat(f) = &mut self.storage {
-            for i in 0..f.len() {
-                f.set_service_class(i, class_of(i));
-            }
+        for (i, class) in self.class.iter_mut().enumerate() {
+            *class = class_of(i);
         }
     }
 
     /// Number of [`ServiceClass::Batch`] servers in a row.
     pub fn batch_count(&self, row: RowId) -> usize {
-        self.iter_row(row)
-            .filter(|s| s.service_class() == ServiceClass::Batch)
+        self.class[self.row_range(row)]
+            .iter()
+            .filter(|&&c| c == ServiceClass::Batch)
             .count()
     }
 
-    /// Number of frozen servers in a row. O(1) on the flat engine.
+    /// Number of frozen servers in a row. O(1).
     pub fn frozen_count(&self, row: RowId) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.frozen_in_row(row.index()),
-            Storage::Nested(_) => self.iter_row(row).filter(|s| s.is_frozen()).count(),
-        }
+        self.row_frozen[row.index()] as usize
     }
 
     /// Whether every server is known to run at nominal frequency —
     /// lets per-tick DVFS resets and frequency rollups short-circuit.
-    /// Conservative: `false` means "unknown" on the nested engine.
     pub fn all_nominal_dvfs(&self) -> bool {
-        match &self.storage {
-            Storage::Flat(f) => f.all_nominal_dvfs(),
-            Storage::Nested(_) => false,
-        }
+        !self.any_non_nominal
     }
 
     /// Resets every server to nominal frequency (the per-tick capper
     /// baseline). Skips the scan entirely when no server is capped.
     pub fn reset_dvfs_nominal(&mut self) {
-        match &mut self.storage {
-            Storage::Flat(f) => f.reset_dvfs_nominal(),
-            Storage::Nested(servers) => {
-                for s in servers {
-                    s.set_dvfs(DvfsState::nominal());
-                }
+        if !self.any_non_nominal {
+            return;
+        }
+        for i in 0..self.server_count() {
+            if self.dvfs[i].freq() < 1.0 {
+                self.dvfs[i] = DvfsState::nominal();
+                self.refresh_power(i);
             }
         }
+        self.any_non_nominal = false;
     }
 
     /// Takes an IPMI-style sweep of per-server power readings for the
@@ -449,25 +510,20 @@ impl Cluster {
         out: &mut Vec<ServerSample>,
         mut noise: impl FnMut(ServerId, f64) -> f64,
     ) {
-        match &self.storage {
-            Storage::Flat(f) => f.sample_into(out, noise),
-            Storage::Nested(servers) => {
-                out.reserve(servers.len());
-                for s in servers {
-                    out.push(ServerSample {
-                        server: s.id().raw(),
-                        rack: s.rack().raw(),
-                        row: s.row().raw(),
-                        watts: noise(s.id(), s.power_w()),
-                    });
-                }
-            }
+        out.reserve(self.server_count());
+        for i in 0..self.server_count() {
+            out.push(ServerSample {
+                server: i as u64,
+                rack: self.rack[i] as u64,
+                row: self.row[i] as u64,
+                watts: noise(ServerId::new(i as u64), self.power[i]),
+            });
         }
     }
 
-    /// Advances every server by one tick; returns `(server, job)` pairs
-    /// for completed jobs. Their order is an engine detail (job-table
-    /// order on flat, server then id order on nested).
+    /// Advances every running job by one tick (work scaled by its
+    /// server's DVFS frequency); returns `(server, job)` pairs for
+    /// completed jobs in job-table order, which is unspecified.
     pub fn advance(&mut self, tick: SimDuration) -> Vec<(ServerId, JobId)> {
         let mut done = Vec::new();
         self.advance_into(tick, &mut done);
@@ -475,59 +531,100 @@ impl Cluster {
     }
 
     /// Allocation-free variant of [`Cluster::advance`]: appends
-    /// completions to `done`. On the flat engine this also ticks the
-    /// row-power re-sum epoch counter.
+    /// completions to `done` and ticks the row-power re-sum epoch
+    /// counter.
     pub fn advance_into(&mut self, tick: SimDuration, done: &mut Vec<(ServerId, JobId)>) {
-        match &mut self.storage {
-            Storage::Flat(f) => f.advance_into(tick, done),
-            Storage::Nested(servers) => {
-                for s in servers {
-                    for job in s.advance(tick) {
-                        done.push((s.id(), job));
-                    }
-                }
+        let tick_ms = tick.as_millis() as f64;
+        let mut k = 0;
+        while k < self.jobs.len() {
+            let slot = &mut self.jobs[k];
+            let i = slot.server as usize;
+            slot.remaining_ms -= tick_ms * self.dvfs[i].freq();
+            if slot.remaining_ms <= 0.0 {
+                // The last slot moves into `k` and is visited next.
+                let slot = self.jobs.swap_remove(k);
+                done.push((ServerId::new(i as u64), slot.job));
+                self.allocated[i] -= slot.resources;
+                self.job_count[i] -= 1;
+                self.dirty.push(slot.server);
+            } else {
+                k += 1;
             }
+        }
+        // Ascending server order: each row accumulator takes its deltas
+        // in the order a per-server walk would apply them.
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &i in &dirty {
+            self.refresh_power(i as usize);
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        self.ticks_since_resum += 1;
+        if self.ticks_since_resum >= self.resum_interval {
+            self.force_power_resum();
         }
     }
 
     /// Sets how many [`Cluster::advance`] ticks pass between row-power
-    /// accumulator re-sum epochs on the flat engine (no-op on nested).
+    /// accumulator re-sum epochs (default 64).
     pub fn set_power_resum_interval(&mut self, ticks: u32) {
-        if let Storage::Flat(f) = &mut self.storage {
-            f.set_resum_interval(ticks);
-        }
+        assert!(ticks > 0, "re-sum interval must be positive");
+        self.resum_interval = ticks;
     }
 
-    /// Number of re-sum epochs completed so far (0 on nested).
+    /// Number of re-sum epochs completed so far.
     pub fn power_resum_epochs(&self) -> u64 {
-        match &self.storage {
-            Storage::Flat(f) => f.resum_epochs(),
-            Storage::Nested(_) => 0,
-        }
+        self.resum_epochs
     }
 
-    /// Forces an immediate row-power re-sum epoch on the flat engine.
+    /// Opens a re-sum epoch now: rebuilds every row accumulator from
+    /// the exact sum and recounts frozen servers.
     pub fn force_power_resum(&mut self) {
-        if let Storage::Flat(f) = &mut self.storage {
-            f.resum();
+        for row in 0..self.spec.rows {
+            self.row_power_acc[row] = self.exact_row_power_w(RowId::new(row as u64));
         }
+        self.row_frozen.iter_mut().for_each(|c| *c = 0);
+        for (i, &frozen) in self.frozen.iter().enumerate() {
+            if frozen {
+                self.row_frozen[self.row[i] as usize] += 1;
+            }
+        }
+        self.ticks_since_resum = 0;
+        self.resum_epochs += 1;
     }
 
-    /// Live job count across the fleet (the job table's length on flat).
+    /// Live job count across the fleet (the job table's length).
     pub fn total_jobs(&self) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.live_jobs(),
-            Storage::Nested(s) => s.iter().map(Server::job_count).sum(),
-        }
+        self.jobs.len()
     }
 
-    /// Job-table capacity on the flat engine (slots freed by completions
-    /// included); 0 on nested. Exposed for slot-recycling tests.
+    /// Job-table capacity, slots freed by completions included. Exposed
+    /// for slot-recycling tests.
     pub fn arena_slots(&self) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.arena_slots(),
-            Storage::Nested(_) => 0,
+        self.jobs.capacity()
+    }
+
+    /// Table position of `job` on server `i`, if it is running there.
+    /// O(1) for an id at or above the server's bound, else a table scan.
+    fn find_job(&self, i: usize, job: JobId) -> Option<usize> {
+        if id_bound(job) > self.job_id_bound[i] {
+            return None;
         }
+        self.jobs
+            .iter()
+            .position(|slot| slot.server as usize == i && slot.job == job)
+    }
+
+    /// Re-derives the cached utilization and power of server `i` after
+    /// a mutation, pushing the power delta into its row accumulator.
+    fn refresh_power(&mut self, i: usize) {
+        let u = self.allocated[i].cpu_fraction_of(&self.capacity[i]);
+        let p = self.model[i].power_w(u, self.dvfs[i]);
+        self.row_power_acc[self.row[i] as usize] += p - self.power[i];
+        self.util[i] = u;
+        self.power[i] = p;
     }
 }
 
@@ -539,42 +636,27 @@ impl<'a> ServerRef<'a> {
 
     /// The rack this server is mounted in.
     pub fn rack(&self) -> RackId {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.rack_id(self.index),
-            Storage::Nested(s) => s[self.index].rack(),
-        }
+        RackId::new(self.cluster.rack[self.index] as u64)
     }
 
     /// The row (PDU power domain) this server belongs to.
     pub fn row(&self) -> RowId {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.row_id(self.index),
-            Storage::Nested(s) => s[self.index].row(),
-        }
+        RowId::new(self.cluster.row[self.index] as u64)
     }
 
     /// The server's power model.
     pub fn power_model(&self) -> &'a ServerPowerModel {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.model(self.index),
-            Storage::Nested(s) => s[self.index].power_model(),
-        }
+        &self.cluster.model[self.index]
     }
 
     /// Total resource capacity.
     pub fn capacity(&self) -> Resources {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.capacity(self.index),
-            Storage::Nested(s) => s[self.index].capacity(),
-        }
+        self.cluster.capacity[self.index]
     }
 
     /// Currently allocated resources.
     pub fn allocated(&self) -> Resources {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.allocated(self.index),
-            Storage::Nested(s) => s[self.index].allocated(),
-        }
+        self.cluster.allocated[self.index]
     }
 
     /// Free resources.
@@ -584,19 +666,13 @@ impl<'a> ServerRef<'a> {
 
     /// CPU utilization in `[0, 1]` — the input to the power model.
     pub fn utilization(&self) -> f64 {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.utilization(self.index),
-            Storage::Nested(s) => s[self.index].utilization(),
-        }
+        self.cluster.util[self.index]
     }
 
-    /// Current power draw in watts. Cached on the flat engine — always
-    /// bit-equal to `power_model().power_w(utilization(), dvfs())`.
+    /// Current power draw in watts. Cached, and always bit-equal to
+    /// `power_model().power_w(utilization(), dvfs())`.
     pub fn power_w(&self) -> f64 {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.power_w(self.index),
-            Storage::Nested(s) => s[self.index].power_w(),
-        }
+        self.cluster.power[self.index]
     }
 
     /// Rated power in watts (the provisioning unit).
@@ -606,48 +682,44 @@ impl<'a> ServerRef<'a> {
 
     /// Current DVFS state.
     pub fn dvfs(&self) -> DvfsState {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.dvfs(self.index),
-            Storage::Nested(s) => s[self.index].dvfs(),
-        }
+        self.cluster.dvfs[self.index]
     }
 
-    /// The server's service class (default [`ServiceClass::Interactive`]
-    /// on the legacy nested engine, which carries no class tags).
+    /// The server's service class.
     pub fn service_class(&self) -> ServiceClass {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.service_class(self.index),
-            Storage::Nested(_) => ServiceClass::default(),
-        }
+        self.cluster.class[self.index]
     }
 
     /// Whether the scheduler has been advised not to place new jobs
     /// here. Freezing never touches running jobs (§3.4).
     pub fn is_frozen(&self) -> bool {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.is_frozen(self.index),
-            Storage::Nested(s) => s[self.index].is_frozen(),
-        }
+        self.cluster.frozen[self.index]
     }
 
     /// Number of running jobs.
     pub fn job_count(&self) -> usize {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.job_count(self.index),
-            Storage::Nested(s) => s[self.index].job_count(),
-        }
+        self.cluster.job_count[self.index] as usize
     }
 
-    /// Iterates over running jobs by value. Iteration *order* is an
-    /// engine detail (job-table order on flat, id order on nested);
-    /// callers must treat the jobs as a set. On flat this filters the
-    /// fleet's whole job table — O(jobs in the fleet), so it stays off
-    /// the per-tick hot path.
-    pub fn jobs(&self) -> Box<dyn Iterator<Item = (JobId, RunningJob)> + 'a> {
-        match &self.cluster.storage {
-            Storage::Flat(f) => Box::new(f.jobs(self.index)),
-            Storage::Nested(s) => Box::new(s[self.index].jobs().map(|(id, j)| (id, *j))),
-        }
+    /// Iterates over running jobs by value, in job-table order; callers
+    /// must treat the jobs as a set. This filters the fleet's whole job
+    /// table — O(jobs in the fleet), so it stays off the per-tick hot
+    /// path.
+    pub fn jobs(&self) -> impl Iterator<Item = (JobId, RunningJob)> + 'a {
+        let i = self.index;
+        self.cluster
+            .jobs
+            .iter()
+            .filter(move |slot| slot.server as usize == i)
+            .map(|slot| {
+                (
+                    slot.job,
+                    RunningJob {
+                        resources: slot.resources,
+                        remaining_ms: slot.remaining_ms,
+                    },
+                )
+            })
     }
 }
 
@@ -661,67 +733,88 @@ impl ServerMut<'_> {
         resources: Resources,
         duration: SimDuration,
     ) -> Result<(), PlacementError> {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.place(self.index, job, resources, duration),
-            Storage::Nested(s) => s[self.index].place(job, resources, duration),
+        let (c, i) = (&mut *self.cluster, self.index);
+        if c.find_job(i, job).is_some() {
+            return Err(PlacementError::DuplicateJob);
         }
+        if !(c.capacity[i] - c.allocated[i]).fits(&resources) {
+            return Err(PlacementError::InsufficientResources);
+        }
+        c.allocated[i] += resources;
+        c.jobs.push(JobSlot {
+            job,
+            resources,
+            remaining_ms: duration.as_millis() as f64,
+            server: i as u32,
+        });
+        c.job_count[i] += 1;
+        c.job_id_bound[i] = c.job_id_bound[i].max(id_bound(job));
+        c.refresh_power(i);
+        Ok(())
     }
 
     /// Forcibly terminates a job (e.g. preemption tests), freeing its
-    /// resources. Returns whether the job was running here. On flat a
-    /// job id below the server's id bound costs a scan of the fleet's
-    /// job table — O(jobs in the fleet), off the per-tick hot path.
+    /// resources. Returns whether the job was running here. A job id
+    /// below the server's id bound costs a scan of the fleet's job
+    /// table — O(jobs in the fleet), off the per-tick hot path.
     pub fn terminate(&mut self, job: JobId) -> bool {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.terminate(self.index, job),
-            Storage::Nested(s) => s[self.index].terminate(job),
-        }
+        let (c, i) = (&mut *self.cluster, self.index);
+        let Some(k) = c.find_job(i, job) else {
+            return false;
+        };
+        let slot = c.jobs.swap_remove(k);
+        c.allocated[i] -= slot.resources;
+        c.job_count[i] -= 1;
+        c.refresh_power(i);
+        true
     }
 
     /// Sets the DVFS state (the capper's knob).
     pub fn set_dvfs(&mut self, state: DvfsState) {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.set_dvfs(self.index, state),
-            Storage::Nested(s) => s[self.index].set_dvfs(state),
+        let (c, i) = (&mut *self.cluster, self.index);
+        if state == c.dvfs[i] {
+            return;
         }
+        c.dvfs[i] = state;
+        if state.freq() < 1.0 {
+            c.any_non_nominal = true;
+        }
+        c.refresh_power(i);
     }
 
     /// Marks the server frozen (advisory; enforced by the scheduler).
     pub fn freeze(&mut self) {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.freeze(self.index),
-            Storage::Nested(s) => s[self.index].freeze(),
+        let (c, i) = (&mut *self.cluster, self.index);
+        if !c.frozen[i] {
+            c.frozen[i] = true;
+            c.row_frozen[c.row[i] as usize] += 1;
         }
     }
 
     /// Clears the frozen flag.
     pub fn unfreeze(&mut self) {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.unfreeze(self.index),
-            Storage::Nested(s) => s[self.index].unfreeze(),
+        let (c, i) = (&mut *self.cluster, self.index);
+        if c.frozen[i] {
+            c.frozen[i] = false;
+            c.row_frozen[c.row[i] as usize] -= 1;
         }
     }
 
     /// Whether this server is frozen.
     pub fn is_frozen(&self) -> bool {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.is_frozen(self.index),
-            Storage::Nested(s) => s[self.index].is_frozen(),
-        }
+        self.cluster.frozen[self.index]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampere_sim::SimDuration;
 
     #[test]
     fn layout_is_row_major() {
         let c = Cluster::new(ClusterSpec::tiny());
         assert_eq!(c.server_count(), 16);
         assert_eq!(c.row_count(), 2);
-        assert_eq!(c.engine(), EngineKind::Flat);
         let s = c.server(ServerId::new(0));
         assert_eq!(s.row(), RowId::new(0));
         assert_eq!(s.rack(), RackId::new(0));
@@ -752,15 +845,27 @@ mod tests {
     #[test]
     fn advance_reports_completions() {
         let mut c = Cluster::new(ClusterSpec::tiny());
-        c.server_mut(ServerId::new(3))
-            .place(
-                JobId::new(7),
-                Resources::cores_gb(2, 4),
-                SimDuration::from_mins(1),
-            )
-            .unwrap();
-        let done = c.advance(SimDuration::from_mins(1));
-        assert_eq!(done, vec![(ServerId::new(3), JobId::new(7))]);
+        let (a, b) = (ServerId::new(3), ServerId::new(5));
+        let r = Resources::cores_gb(4, 8);
+        let place = |c: &mut Cluster, s, job, mins| {
+            c.server_mut(s)
+                .place(JobId::new(job), r, SimDuration::from_mins(mins))
+                .unwrap()
+        };
+        // Two jobs interleave on `a`; a 3-minute job runs alone on `b`.
+        place(&mut c, a, 1, 1);
+        place(&mut c, a, 2, 2);
+        place(&mut c, b, 7, 3);
+        // Each job completes on exactly the tick its duration ends.
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(a, JobId::new(1))]);
+        assert_eq!(c.server(a).job_count(), 1);
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(a, JobId::new(2))]);
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(b, JobId::new(7))]);
+        assert!(c.advance(SimDuration::MINUTE).is_empty());
+        for s in [a, b] {
+            assert_eq!(c.server(s).allocated(), Resources::ZERO);
+            assert_eq!(c.server(s).utilization(), 0.0);
+        }
     }
 
     #[test]
@@ -968,32 +1073,5 @@ mod tests {
         c.reset_dvfs_nominal();
         assert!(c.all_nominal_dvfs());
         assert_eq!(c.server(ServerId::new(5)).dvfs(), DvfsState::nominal());
-    }
-
-    #[cfg(feature = "legacy-nested")]
-    #[test]
-    fn engines_agree_on_basic_trajectory() {
-        let run = |engine: EngineKind| {
-            let spec = ClusterSpec::tiny();
-            let mut c =
-                Cluster::new_with_engine(spec, engine, |_| (spec.power_model, spec.capacity));
-            let mut trace = Vec::new();
-            for i in 0..8u64 {
-                c.server_mut(ServerId::new(i * 2))
-                    .place(
-                        JobId::new(i),
-                        Resources::cores_gb(8, 16),
-                        SimDuration::from_mins(i + 1),
-                    )
-                    .unwrap();
-            }
-            c.server_mut(ServerId::new(3)).freeze();
-            for _ in 0..10 {
-                let done = c.advance(SimDuration::MINUTE);
-                trace.push((done.len(), c.exact_row_power_w(RowId::new(0)).to_bits()));
-            }
-            trace
-        };
-        assert_eq!(run(EngineKind::Flat), run(EngineKind::Nested));
     }
 }

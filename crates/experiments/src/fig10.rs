@@ -135,28 +135,6 @@ pub fn parity_testbed_with(
     controller: Option<ampere_core::AmpereController>,
     faults: Option<ampere_faults::FaultPlan>,
 ) -> (Testbed, DomainId, DomainId) {
-    parity_testbed_engine(
-        profile,
-        seed,
-        r_o,
-        controller,
-        faults,
-        ampere_cluster::EngineKind::Flat,
-    )
-}
-
-/// [`parity_testbed_with`] on an explicit server-state engine. The
-/// differential harness (`tests/flat_fleet_differential.rs`) runs the
-/// same workload on the flat and the legacy nested engine through this
-/// entry point and compares trajectories bit for bit.
-pub fn parity_testbed_engine(
-    profile: RateProfile,
-    seed: u64,
-    r_o: f64,
-    controller: Option<ampere_core::AmpereController>,
-    faults: Option<ampere_faults::FaultPlan>,
-    engine: ampere_cluster::EngineKind,
-) -> (Testbed, DomainId, DomainId) {
     let config = TestbedConfig {
         capping: CappingConfig {
             enabled: false,
@@ -166,7 +144,7 @@ pub fn parity_testbed_engine(
         faults,
         ..TestbedConfig::paper_row(profile, seed)
     };
-    let mut tb = Testbed::new_with_engine(config, engine);
+    let mut tb = Testbed::new(config);
     let spec = *tb.cluster().spec();
     let all: Vec<ServerId> = (0..spec.server_count() as u64).map(ServerId::new).collect();
     let (exp, ctl) = ParitySplit::split(all);

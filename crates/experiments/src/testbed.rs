@@ -20,7 +20,7 @@
 //! 5. controlled domains run one Ampere control interval on the same
 //!    measurement, freezing/unfreezing through the scheduler API.
 
-use ampere_cluster::{Cluster, ClusterSpec, EngineKind, JobId, RowId, ServerId, ServiceClass};
+use ampere_cluster::{Cluster, ClusterSpec, JobId, RowId, ServerId, ServiceClass};
 use ampere_core::{
     AmpereController, ControlMode, HistoricalPercentile, ServerPowerReading, TickWatchdog,
     WatchdogConfig,
@@ -308,19 +308,9 @@ impl Testbed {
     /// always monitored and their rated power is the default budget
     /// used for scheduler headroom hints.
     pub fn new(config: TestbedConfig) -> Self {
-        Self::new_with_engine(config, EngineKind::Flat)
-    }
-
-    /// Builds a testbed on an explicit cluster storage engine. The
-    /// nested engine is only available behind the `legacy-nested` cargo
-    /// feature; the differential suite uses it to prove the flat engine
-    /// bit-exact.
-    pub fn new_with_engine(config: TestbedConfig, engine: EngineKind) -> Self {
         let mut cluster = match &config.server_classes {
-            None => Cluster::new_with_engine(config.spec, engine, |_| {
-                (config.spec.power_model, config.spec.capacity)
-            }),
-            Some(class_of) => Cluster::new_with_engine(config.spec, engine, class_of),
+            None => Cluster::new(config.spec),
+            Some(class_of) => Cluster::new_with(config.spec, class_of),
         };
         if let Some(classes) = &config.service_classes {
             assert_eq!(
@@ -1095,8 +1085,6 @@ pub struct ShardedTestbedConfig {
     pub controlled: bool,
     /// Worker threads advancing the shards (1 = serial).
     pub workers: usize,
-    /// Server-state engine for every shard (flat SoA by default).
-    pub engine: EngineKind,
     /// Optional fault plan applied identically to every shard (each
     /// shard's injector still draws from its own sub-seeded streams).
     pub faults: Option<FaultPlan>,
@@ -1118,7 +1106,6 @@ impl ShardedTestbedConfig {
             budget_scale: 0.8,
             controlled: true,
             workers,
-            engine: EngineKind::Flat,
             faults: None,
         }
     }
@@ -1135,7 +1122,6 @@ impl ShardedTestbedConfig {
             budget_scale: 0.8,
             controlled: true,
             workers,
-            engine: EngineKind::Flat,
             faults: None,
         }
     }
@@ -1190,25 +1176,22 @@ impl ShardedTestbed {
                 let capture = ampere_telemetry::Capture::new_under(&parent);
                 let sub_seed = derive_subseed(config.seed, streams::SHARD, i as u64);
                 let build = || {
-                    let mut tb = Testbed::new_with_engine(
-                        TestbedConfig {
-                            spec: config.spec,
-                            profile: config.profile.clone(),
-                            seed: sub_seed,
-                            tick: SimDuration::MINUTE,
-                            measurement_noise: 0.003,
-                            capping: CappingConfig {
-                                enabled: false,
-                                ..CappingConfig::default()
-                            },
-                            policy: Box::new(RandomFit::default()),
-                            server_classes: None,
-                            service_classes: None,
-                            freeze_policy: FreezePolicy::Uniform,
-                            faults: config.faults.clone(),
+                    let mut tb = Testbed::new(TestbedConfig {
+                        spec: config.spec,
+                        profile: config.profile.clone(),
+                        seed: sub_seed,
+                        tick: SimDuration::MINUTE,
+                        measurement_noise: 0.003,
+                        capping: CappingConfig {
+                            enabled: false,
+                            ..CappingConfig::default()
                         },
-                        config.engine,
-                    );
+                        policy: Box::new(RandomFit::default()),
+                        server_classes: None,
+                        service_classes: None,
+                        freeze_policy: FreezePolicy::Uniform,
+                        faults: config.faults.clone(),
+                    });
                     let rated = tb.rated_row_power_w(RowId::new(0));
                     let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
                     let domain = tb.add_domain(DomainSpec {
