@@ -8,9 +8,15 @@
 //! A [`Cluster`] stores the fleet as struct-of-arrays: every per-server
 //! field lives in its own `Vec` indexed by the dense id, so the per-tick
 //! loops that dominate a simulation — the measurement sweep, job
-//! progression, the scheduler's candidate scan — are linear walks over
-//! contiguous arrays (DESIGN §14). [`ServerRef`] and [`ServerMut`] are
-//! index views into those columns.
+//! progression, the scheduler's candidate probes — are linear walks or
+//! direct reads over contiguous arrays (DESIGN §14). [`ServerRef`] and
+//! [`ServerMut`] are index views into those columns.
+//!
+//! The scheduler places against these live columns directly: the
+//! cluster keeps the ascending list of unfrozen server indices
+//! ([`Cluster::unfrozen_ids`]), updated by sorted insert or remove in
+//! [`ServerMut::freeze`] and [`ServerMut::unfreeze`], so a dispatch
+//! round needs no per-tick candidate copy.
 //!
 //! Two invariants keep trajectories bit-exact, as pinned by the goldens
 //! in `crates/experiments/tests/trajectory_goldens.rs`:
@@ -218,6 +224,9 @@ pub struct Cluster {
     power: Vec<f64>,
     dvfs: Vec<DvfsState>,
     frozen: Vec<bool>,
+    /// Ascending indices of the servers whose `frozen` flag is clear:
+    /// the scheduler's candidate set, maintained at every freeze change.
+    unfrozen: Vec<u32>,
     /// Service class of each server (all [`ServiceClass::Interactive`]
     /// unless the builder assigns a mix) — static after construction
     /// apart from explicit retags, so it never touches the hot path.
@@ -305,6 +314,7 @@ impl Cluster {
             power,
             dvfs: vec![DvfsState::nominal(); n],
             frozen: vec![false; n],
+            unfrozen: (0..n as u32).collect(),
             class: vec![ServiceClass::default(); n],
             job_count: vec![0; n],
             job_id_bound: vec![0; n],
@@ -383,28 +393,19 @@ impl Cluster {
         self.row_range(row).map(|i| ServerId::new(i as u64))
     }
 
-    /// Dense index range of the servers in `row`.
-    fn row_range(&self, row: RowId) -> std::ops::Range<usize> {
+    /// Dense index range of the servers in `row`: ids are row-major, so
+    /// a row is one contiguous block.
+    pub fn row_range(&self, row: RowId) -> std::ops::Range<usize> {
         let per_row = self.spec.servers_per_row();
         let start = row.index() * per_row;
         start..start + per_row
     }
 
-    /// Visits every unfrozen server in ascending id order with
-    /// `(id, row, free, utilization)` — the scheduler's candidate scan,
-    /// a linear walk over contiguous arrays.
-    pub fn each_candidate(&self, mut f: impl FnMut(ServerId, RowId, Resources, f64)) {
-        for i in 0..self.server_count() {
-            if self.frozen[i] {
-                continue;
-            }
-            f(
-                ServerId::new(i as u64),
-                RowId::new(self.row[i] as u64),
-                self.capacity[i] - self.allocated[i],
-                self.util[i],
-            );
-        }
+    /// Indices of the unfrozen servers in ascending order — the
+    /// scheduler's candidate set. Maintained by [`ServerMut::freeze`]
+    /// and [`ServerMut::unfreeze`], so reading it costs nothing.
+    pub fn unfrozen_ids(&self) -> &[u32] {
+        &self.unfrozen
     }
 
     /// Instantaneous power of one row in watts.
@@ -782,21 +783,33 @@ impl ServerMut<'_> {
         c.refresh_power(i);
     }
 
-    /// Marks the server frozen (advisory; enforced by the scheduler).
+    /// Marks the server frozen (advisory; enforced by the scheduler),
+    /// dropping it from [`Cluster::unfrozen_ids`].
     pub fn freeze(&mut self) {
         let (c, i) = (&mut *self.cluster, self.index);
         if !c.frozen[i] {
             c.frozen[i] = true;
             c.row_frozen[c.row[i] as usize] += 1;
+            let k = c
+                .unfrozen
+                .binary_search(&(i as u32))
+                .expect("an unfrozen server is in the unfrozen list");
+            c.unfrozen.remove(k);
         }
     }
 
-    /// Clears the frozen flag.
+    /// Clears the frozen flag, returning the server to
+    /// [`Cluster::unfrozen_ids`] at its sorted position.
     pub fn unfreeze(&mut self) {
         let (c, i) = (&mut *self.cluster, self.index);
         if c.frozen[i] {
             c.frozen[i] = false;
             c.row_frozen[c.row[i] as usize] -= 1;
+            let k = c
+                .unfrozen
+                .binary_search(&(i as u32))
+                .expect_err("a frozen server is not in the unfrozen list");
+            c.unfrozen.insert(k, i as u32);
         }
     }
 
@@ -942,18 +955,24 @@ mod tests {
     #[test]
     fn frozen_count_tracks_flags() {
         let mut c = Cluster::new(ClusterSpec::tiny());
+        let unfrozen_except =
+            |frozen: &[u32]| -> Vec<u32> { (0..16).filter(|i| !frozen.contains(i)).collect() };
         assert_eq!(c.frozen_count(RowId::new(0)), 0);
+        assert_eq!(c.unfrozen_ids(), unfrozen_except(&[]));
+        c.server_mut(ServerId::new(9)).freeze(); // Other row.
         c.server_mut(ServerId::new(1)).freeze();
         c.server_mut(ServerId::new(2)).freeze();
-        c.server_mut(ServerId::new(9)).freeze(); // Other row.
         assert_eq!(c.frozen_count(RowId::new(0)), 2);
         assert_eq!(c.frozen_count(RowId::new(1)), 1);
-        // Freezing is idempotent on the counters.
+        assert_eq!(c.unfrozen_ids(), unfrozen_except(&[1, 2, 9]));
+        // Freezing is idempotent on the counters and the id list.
         c.server_mut(ServerId::new(1)).freeze();
         assert_eq!(c.frozen_count(RowId::new(0)), 2);
         c.server_mut(ServerId::new(1)).unfreeze();
         c.server_mut(ServerId::new(1)).unfreeze();
         assert_eq!(c.frozen_count(RowId::new(0)), 1);
+        // Unfreezing puts the id back at its sorted position.
+        assert_eq!(c.unfrozen_ids(), unfrozen_except(&[2, 9]));
     }
 
     #[test]

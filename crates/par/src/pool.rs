@@ -167,10 +167,11 @@ impl WorkerPool {
 
     /// Advances every shard by `ticks` steps, with a barrier after each
     /// tick: no shard starts tick `k + 1` until all shards finished tick
-    /// `k`. Shards are partitioned contiguously across workers, and
-    /// `step` receives the shard's global index, so work assignment is
-    /// deterministic in everything except thread interleaving *within*
-    /// one tick — which is invisible as long as shards are independent.
+    /// `k`. Within a tick, workers claim shards one at a time from a
+    /// shared index, so a slow shard never holds back shards queued
+    /// behind it. `step` receives the shard's global index; shards are
+    /// independent, so which worker steps a shard is invisible in the
+    /// result.
     ///
     /// # Panics
     /// If `step` panics, every worker stops at the end of that tick
@@ -194,34 +195,34 @@ impl WorkerPool {
             }
             return;
         }
-        // Contiguous partition: worker w gets shards [start, start+len).
         let n = shards.len();
-        let base = n / workers;
-        let extra = n % workers;
-        let mut chunks = Vec::with_capacity(workers);
-        let mut rest = shards;
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let (head, tail) = rest.split_at_mut(len);
-            chunks.push((start, head));
-            start += len;
-            rest = tail;
-        }
+        // Each claim locks one shard once; the locks are uncontended,
+        // since the claim index hands every shard to exactly one worker.
+        let shards: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
+        // Claim counters alternate by tick parity: tick `k` drains
+        // `next[k % 2]` while the other, reset at the end of tick
+        // `k - 1`, waits at zero for tick `k + 1`.
+        let next = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let barrier = Barrier::new(workers);
         let poisoned = AtomicBool::new(false);
         let first_panic = FirstPanic::new();
-        let step = &step;
+        let (shards, next, step) = (&shards, &next, &step);
         thread::scope(|scope| {
-            for (start, chunk) in chunks {
+            for _ in 0..workers {
                 let barrier = &barrier;
                 let poisoned = &poisoned;
                 let first_panic = &first_panic;
                 scope.spawn(move || {
-                    for _ in 0..ticks {
-                        for (offset, shard) in chunk.iter_mut().enumerate() {
-                            let result =
-                                catch_unwind(AssertUnwindSafe(|| step(start + offset, shard)));
+                    for tick in 0..ticks {
+                        let claim = &next[(tick % 2) as usize];
+                        loop {
+                            let i = claim.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            let mut shard =
+                                shards[i].lock().unwrap_or_else(PoisonError::into_inner);
+                            let result = catch_unwind(AssertUnwindSafe(|| step(i, &mut shard)));
                             if let Err(panic) = result {
                                 poisoned.store(true, Ordering::SeqCst);
                                 first_panic.store(panic);
@@ -230,7 +231,11 @@ impl WorkerPool {
                         }
                         // Everyone meets the barrier, poisoned or not,
                         // so a panicking tick cannot deadlock the rest.
-                        barrier.wait();
+                        // Past it no worker claims from this tick's
+                        // counter, so its leader may rewind it.
+                        if barrier.wait().is_leader() {
+                            claim.store(0, Ordering::Relaxed);
+                        }
                         // Double barrier: snapshot the stop flag while
                         // no worker can be computing (writes to
                         // `poisoned` happen only in the step phase,
@@ -311,6 +316,31 @@ mod tests {
         assert!(serial.iter().all(|s| s.0 == 50));
         assert_eq!(serial, run(3));
         assert_eq!(serial, run(16));
+    }
+
+    #[test]
+    fn step_ticks_with_skewed_shard_costs_matches_serial_stepping() {
+        // Every fifth shard costs 100x the others, so which worker
+        // claims which shard varies from tick to tick; each shard's
+        // state must still equal serial stepping.
+        let run = |workers: usize| {
+            let mut shards: Vec<(usize, u64)> = (0..12).map(|i| (0usize, i as u64)).collect();
+            WorkerPool::new(workers).step_ticks(&mut shards, 40, |idx, shard| {
+                let rounds = if idx % 5 == 0 { 20_000 } else { 200 };
+                for _ in 0..rounds {
+                    shard.1 = shard
+                        .1
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(idx as u64 | 1);
+                }
+                shard.0 += 1;
+            });
+            shards
+        };
+        let serial = run(1);
+        assert!(serial.iter().all(|s| s.0 == 40));
+        assert_eq!(serial, run(2));
+        assert_eq!(serial, run(4));
     }
 
     #[test]

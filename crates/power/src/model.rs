@@ -71,8 +71,7 @@ impl ServerPowerModel {
     /// `P = P_idle + (P_rated − P_idle) · util^γ · s(f)` where `s(f)` is
     /// the dynamic scaling factor of the DVFS state.
     pub fn power_w(&self, util: f64, dvfs: DvfsState) -> f64 {
-        let util = util.clamp(0.0, 1.0);
-        let dynamic = (self.rated_w - self.idle_w()) * util.powf(self.gamma);
+        let dynamic = (self.rated_w - self.idle_w()) * self.util_term(util);
         self.idle_w() + dynamic * dvfs.dynamic_power_factor()
     }
 
@@ -83,14 +82,26 @@ impl ServerPowerModel {
     /// reach the target (e.g. the target is below idle power), returns
     /// `min_freq` — DVFS cannot cut the idle floor.
     pub fn freq_for_power(&self, util: f64, target_w: f64, min_freq: f64) -> f64 {
-        let util = util.clamp(0.0, 1.0);
-        let dynamic = (self.rated_w - self.idle_w()) * util.powf(self.gamma);
+        let dynamic = (self.rated_w - self.idle_w()) * self.util_term(util);
         if dynamic <= 0.0 {
             return 1.0;
         }
         let needed_factor = ((target_w - self.idle_w()) / dynamic).clamp(0.0, 1.0);
         // dynamic_power_factor(f) = f², so f = sqrt(factor).
         needed_factor.sqrt().clamp(min_freq, 1.0)
+    }
+
+    /// `util^γ` with `util` clamped to `[0, 1]`. The linear default
+    /// skips `powf`: IEEE 754 defines `pow(x, 1) = x` exactly, so the
+    /// shortcut returns the same bits and saves a libm call on every
+    /// placement and completion.
+    fn util_term(&self, util: f64) -> f64 {
+        let util = util.clamp(0.0, 1.0);
+        if self.gamma == 1.0 {
+            util
+        } else {
+            util.powf(self.gamma)
+        }
     }
 }
 
@@ -224,6 +235,40 @@ mod tests {
         // Idle server: frequency irrelevant, keep nominal.
         let f = m.freq_for_power(0.0, 10.0, DvfsState::MIN_FREQ);
         assert_eq!(f, 1.0);
+    }
+
+    #[test]
+    fn linear_shortcut_is_bit_equal_to_powf() {
+        // The γ = 1 shortcut must return exactly what `powf(1.0)` did:
+        // over the allocation grid (utilization = millicores / 32000)
+        // and a seeded random sample, power and the inverse agree bit
+        // for bit with the `powf` formula.
+        let m = ServerPowerModel::default();
+        let reference = |util: f64| m.idle_w() + (m.rated_w - m.idle_w()) * util.powf(1.0);
+        let grid = (0..=32_000u32).map(|k| f64::from(k) / 32_000.0);
+        let mut rng = ampere_sim::derive_stream(2016, 1);
+        let random = (0..100_000).map(|_| rng.gen::<f64>());
+        for util in grid.chain(random) {
+            assert_eq!(util.powf(1.0).to_bits(), util.to_bits(), "util {util}");
+            let p = m.power_w(util, DvfsState::nominal());
+            assert_eq!(p.to_bits(), reference(util).to_bits(), "util {util}");
+            let target = p - 1.0;
+            let dynamic = (m.rated_w - m.idle_w()) * util.powf(1.0);
+            let expect = if dynamic <= 0.0 {
+                1.0
+            } else {
+                ((target - m.idle_w()) / dynamic)
+                    .clamp(0.0, 1.0)
+                    .sqrt()
+                    .clamp(DvfsState::MIN_FREQ, 1.0)
+            };
+            let f = m.freq_for_power(util, target, DvfsState::MIN_FREQ);
+            assert_eq!(f.to_bits(), expect.to_bits(), "util {util}");
+        }
+        // Other exponents still take `powf`.
+        let sat = ServerPowerModel::new(250.0, 0.6, 0.5);
+        let p = sat.power_w(0.25, DvfsState::nominal());
+        assert_eq!(p, sat.idle_w() + (250.0 - sat.idle_w()) * 0.5);
     }
 
     #[test]

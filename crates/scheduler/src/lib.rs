@@ -46,8 +46,6 @@ pub mod policy;
 pub mod scheduler;
 pub mod selector;
 
-pub use policy::{
-    BestFit, Candidate, LeastLoaded, PlacementContext, PlacementPolicy, PowerSpread, RandomFit,
-};
+pub use policy::{BestFit, LeastLoaded, PlacementContext, PlacementPolicy, PowerSpread, RandomFit};
 pub use scheduler::{DispatchOutcome, FreezeStatus, SchedStats, Scheduler};
 pub use selector::{FreezePolicy, FreezeSelector, SelectorActions, SelectorReading};

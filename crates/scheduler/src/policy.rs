@@ -1,45 +1,87 @@
 //! Pluggable upper-level placement policies.
 //!
-//! Each policy sees the current candidate snapshot (unfrozen servers
-//! with their free resources) and picks a server for one job. Policies
-//! use bounded random probing ("power of d choices") instead of full
-//! scans so dispatch stays fast at data-center scale — and, as in real
-//! schedulers, placement quality is statistical rather than optimal,
-//! which is exactly the regime Ampere's control model assumes.
+//! Each policy sees the unfrozen servers through a [`PlacementContext`]
+//! — a view onto the cluster's live columns, in which candidate `k` is
+//! the `k`-th unfrozen server in ascending id order — and picks a
+//! server for one job. Policies use bounded random probing ("power of d
+//! choices") instead of full scans so dispatch stays fast at
+//! data-center scale — and, as in real schedulers, placement quality is
+//! statistical rather than optimal, which is exactly the regime
+//! Ampere's control model assumes.
 
-use ampere_cluster::{Resources, RowId, ServerId};
+use std::ops::Range;
+
+use ampere_cluster::{Cluster, Resources, RowId, ServerId};
 use ampere_sim::SimRng;
 use ampere_workload::JobRequest;
 
-/// One schedulable server in the low level's candidate snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct Candidate {
-    /// The server.
-    pub id: ServerId,
-    /// Row the server belongs to.
-    pub row: RowId,
-    /// Free resources at snapshot time (updated as jobs place).
-    pub free: Resources,
-    /// CPU utilization at snapshot time.
-    pub utilization: f64,
-}
-
-impl Candidate {
-    /// Whether the job fits this candidate right now.
-    pub fn fits(&self, job: &JobRequest) -> bool {
-        self.free.fits(&job.resources)
-    }
-}
-
-/// Read-only context handed to a policy for one placement decision.
+/// Read-only context handed to a policy for one placement decision: the
+/// unfrozen servers of a cluster, read straight from its columns, so
+/// every placement is visible to the next decision without a copy.
 pub struct PlacementContext<'a> {
-    /// All unfrozen servers (with live free-resource accounting).
-    pub candidates: &'a [Candidate],
-    /// Per-row indices into `candidates` (dense by row id).
-    pub by_row: &'a [Vec<usize>],
-    /// Per-row normalized unused power (1 − P/PM), if the caller tracks
-    /// it; empty when unknown. Only `PowerSpread` consumes this.
-    pub row_headroom: &'a [f64],
+    cluster: &'a Cluster,
+    /// Ascending unfrozen server indices; candidate `k` is `ids[k]`.
+    ids: &'a [u32],
+    row_headroom: &'a [f64],
+}
+
+impl<'a> PlacementContext<'a> {
+    /// The candidates of `cluster`: its unfrozen servers. `row_headroom`
+    /// optionally carries per-row normalized unused power (1 − P/PM);
+    /// pass `&[]` when unknown. Only `PowerSpread` consumes it.
+    pub fn new(cluster: &'a Cluster, row_headroom: &'a [f64]) -> Self {
+        Self {
+            cluster,
+            ids: cluster.unfrozen_ids(),
+            row_headroom,
+        }
+    }
+
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no server is schedulable.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The server behind candidate `k`.
+    pub fn server(&self, k: usize) -> ServerId {
+        ServerId::new(u64::from(self.ids[k]))
+    }
+
+    /// Whether `job` fits candidate `k` right now.
+    pub fn fits(&self, k: usize, job: &JobRequest) -> bool {
+        self.free(k).fits(&job.resources)
+    }
+
+    /// Free resources of candidate `k`.
+    pub fn free(&self, k: usize) -> Resources {
+        self.cluster.server(self.server(k)).free()
+    }
+
+    /// CPU utilization of candidate `k`.
+    pub fn utilization(&self, k: usize) -> f64 {
+        self.cluster.server(self.server(k)).utilization()
+    }
+
+    /// Per-row normalized unused power, or empty when unknown.
+    pub fn row_headroom(&self) -> &'a [f64] {
+        self.row_headroom
+    }
+
+    /// The candidates in row `r`, as a contiguous range of candidate
+    /// indices (ids are row-major, so a row's unfrozen servers are
+    /// adjacent in the ascending list). Empty for a fully frozen row or
+    /// a row the cluster does not have (its id range lies past every
+    /// server).
+    pub fn row_range(&self, r: usize) -> Range<usize> {
+        let servers = self.cluster.row_range(RowId::new(r as u64));
+        let below = |end: usize| self.ids.partition_point(|&i| (i as usize) < end);
+        below(servers.start)..below(servers.end)
+    }
 }
 
 /// An upper-level scheduling policy.
@@ -47,8 +89,8 @@ pub trait PlacementPolicy: Send {
     /// The policy's display name (for experiment labels).
     fn name(&self) -> &'static str;
 
-    /// Picks the index (into `ctx.candidates`) of a server that fits
-    /// `job`, or `None` to leave the job queued.
+    /// Picks the candidate index (see [`PlacementContext::server`]) of a
+    /// server that fits `job`, or `None` to leave the job queued.
     fn place(
         &mut self,
         job: &JobRequest,
@@ -84,22 +126,20 @@ impl PlacementPolicy for RandomFit {
         ctx: &PlacementContext<'_>,
         rng: &mut SimRng,
     ) -> Option<usize> {
-        let n = ctx.candidates.len();
+        let n = ctx.len();
         if n == 0 {
             return None;
         }
         for _ in 0..self.probes {
             let i = rng.gen_range(0..n);
-            if ctx.candidates[i].fits(job) {
+            if ctx.fits(i, job) {
                 return Some(i);
             }
         }
         // Bounded fallback: sweep from a random offset so repeated
         // failures don't always hammer the same prefix.
         let start = rng.gen_range(0..n);
-        (0..n)
-            .map(|k| (start + k) % n)
-            .find(|&i| ctx.candidates[i].fits(job))
+        (0..n).map(|k| (start + k) % n).find(|&i| ctx.fits(i, job))
     }
 }
 
@@ -128,19 +168,19 @@ impl PlacementPolicy for LeastLoaded {
         ctx: &PlacementContext<'_>,
         rng: &mut SimRng,
     ) -> Option<usize> {
-        let n = ctx.candidates.len();
+        let n = ctx.len();
         if n == 0 {
             return None;
         }
         let mut best: Option<usize> = None;
         for _ in 0..self.probes {
             let i = rng.gen_range(0..n);
-            if !ctx.candidates[i].fits(job) {
+            if !ctx.fits(i, job) {
                 continue;
             }
             best = match best {
                 None => Some(i),
-                Some(b) if ctx.candidates[i].utilization < ctx.candidates[b].utilization => Some(i),
+                Some(b) if ctx.utilization(i) < ctx.utilization(b) => Some(i),
                 keep => keep,
             };
         }
@@ -173,18 +213,18 @@ impl PlacementPolicy for BestFit {
         ctx: &PlacementContext<'_>,
         rng: &mut SimRng,
     ) -> Option<usize> {
-        let n = ctx.candidates.len();
+        let n = ctx.len();
         if n == 0 {
             return None;
         }
         let mut best: Option<(usize, u64)> = None;
         for _ in 0..self.probes {
             let i = rng.gen_range(0..n);
-            let c = &ctx.candidates[i];
-            if !c.fits(job) {
+            let free = ctx.free(i);
+            if !free.fits(&job.resources) {
                 continue;
             }
-            let leftover = c.free.cpu_millis - job.resources.cpu_millis;
+            let leftover = free.cpu_millis - job.resources.cpu_millis;
             best = match best {
                 None => Some((i, leftover)),
                 Some((_, b)) if leftover < b => Some((i, leftover)),
@@ -228,7 +268,7 @@ impl PlacementPolicy for PowerSpread {
         ctx: &PlacementContext<'_>,
         rng: &mut SimRng,
     ) -> Option<usize> {
-        if ctx.row_headroom.is_empty() || ctx.by_row.is_empty() {
+        if ctx.row_headroom().is_empty() {
             return RandomFit {
                 probes: self.probes,
             }
@@ -236,11 +276,11 @@ impl PlacementPolicy for PowerSpread {
         }
         // Row lottery weighted by headroom^bias.
         let weights: Vec<f64> = ctx
-            .row_headroom
+            .row_headroom()
             .iter()
             .enumerate()
             .map(|(r, &h)| {
-                if ctx.by_row.get(r).is_none_or(Vec::is_empty) {
+                if ctx.row_range(r).is_empty() {
                     0.0
                 } else {
                     h.max(0.0).powf(self.bias)
@@ -252,10 +292,10 @@ impl PlacementPolicy for PowerSpread {
             let mut pick = rng.gen::<f64>() * total;
             for (r, &w) in weights.iter().enumerate() {
                 if pick < w {
-                    let members = &ctx.by_row[r];
+                    let members = ctx.row_range(r);
                     for _ in 0..self.probes {
-                        let i = members[rng.gen_range(0..members.len())];
-                        if ctx.candidates[i].fits(job) {
+                        let i = members.start + rng.gen_range(0..members.len());
+                        if ctx.fits(i, job) {
                             return Some(i);
                         }
                     }
@@ -275,7 +315,8 @@ impl PlacementPolicy for PowerSpread {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampere_cluster::JobId;
+    use ampere_cluster::{ClusterSpec, JobId};
+    use ampere_power::ServerPowerModel;
     use ampere_sim::{derive_stream, SimDuration};
 
     fn job(cpu: u64) -> JobRequest {
@@ -286,29 +327,32 @@ mod tests {
         }
     }
 
-    fn candidates(frees: &[u64]) -> (Vec<Candidate>, Vec<Vec<usize>>) {
-        let cands: Vec<Candidate> = frees
-            .iter()
-            .enumerate()
-            .map(|(i, &cpu)| Candidate {
-                id: ServerId::new(i as u64),
-                row: RowId::new(0),
-                free: Resources::new(cpu, 100_000),
-                utilization: 1.0 - cpu as f64 / 32_000.0,
-            })
-            .collect();
-        let by_row = vec![(0..frees.len()).collect()];
-        (cands, by_row)
+    /// A cluster of `rows` equal rows whose servers (32 cores, 100 GB)
+    /// have the given free CPU, in id order: utilization is
+    /// `1 − free/32000`.
+    fn cluster(rows: usize, frees: &[u64]) -> Cluster {
+        let mut c = Cluster::new(ClusterSpec {
+            rows,
+            racks_per_row: 1,
+            servers_per_rack: frees.len() / rows,
+            power_model: ServerPowerModel::default(),
+            capacity: Resources::new(32_000, 100_000),
+        });
+        for (i, &free) in frees.iter().enumerate() {
+            if free < 32_000 {
+                let used = Resources::new(32_000 - free, 0);
+                c.server_mut(ServerId::new(i as u64))
+                    .place(JobId::new(i as u64), used, SimDuration::from_mins(60))
+                    .unwrap();
+            }
+        }
+        c
     }
 
     #[test]
     fn random_fit_finds_the_only_fit() {
-        let (cands, by_row) = candidates(&[100, 100, 8_000, 100]);
-        let ctx = PlacementContext {
-            candidates: &cands,
-            by_row: &by_row,
-            row_headroom: &[],
-        };
+        let c = cluster(1, &[100, 100, 8_000, 100]);
+        let ctx = PlacementContext::new(&c, &[]);
         let mut rng = derive_stream(1, 3);
         let mut p = RandomFit::default();
         for _ in 0..20 {
@@ -318,12 +362,8 @@ mod tests {
 
     #[test]
     fn returns_none_when_nothing_fits() {
-        let (cands, by_row) = candidates(&[100, 200, 300]);
-        let ctx = PlacementContext {
-            candidates: &cands,
-            by_row: &by_row,
-            row_headroom: &[],
-        };
+        let c = cluster(1, &[100, 200, 300]);
+        let ctx = PlacementContext::new(&c, &[]);
         let mut rng = derive_stream(1, 3);
         assert_eq!(
             RandomFit::default().place(&job(4_000), &ctx, &mut rng),
@@ -342,11 +382,13 @@ mod tests {
 
     #[test]
     fn empty_candidates() {
-        let ctx = PlacementContext {
-            candidates: &[],
-            by_row: &[],
-            row_headroom: &[],
-        };
+        // Every server frozen: no candidates at all.
+        let mut c = cluster(1, &[32_000, 32_000]);
+        for i in 0..2 {
+            c.server_mut(ServerId::new(i)).freeze();
+        }
+        let ctx = PlacementContext::new(&c, &[]);
+        assert!(ctx.is_empty());
         let mut rng = derive_stream(1, 3);
         assert_eq!(RandomFit::default().place(&job(500), &ctx, &mut rng), None);
     }
@@ -355,12 +397,8 @@ mod tests {
     fn least_loaded_prefers_lower_utilization() {
         // Two fitting servers with very different utilizations; with 64
         // probes over 2 candidates the lower one virtually always wins.
-        let (cands, by_row) = candidates(&[30_000, 2_000]);
-        let ctx = PlacementContext {
-            candidates: &cands,
-            by_row: &by_row,
-            row_headroom: &[],
-        };
+        let c = cluster(1, &[30_000, 2_000]);
+        let ctx = PlacementContext::new(&c, &[]);
         let mut rng = derive_stream(2, 3);
         let mut p = LeastLoaded::default();
         let mut wins = 0;
@@ -374,12 +412,8 @@ mod tests {
 
     #[test]
     fn best_fit_prefers_tight_fit() {
-        let (cands, by_row) = candidates(&[30_000, 1_100]);
-        let ctx = PlacementContext {
-            candidates: &cands,
-            by_row: &by_row,
-            row_headroom: &[],
-        };
+        let c = cluster(1, &[30_000, 1_100]);
+        let ctx = PlacementContext::new(&c, &[]);
         let mut rng = derive_stream(3, 3);
         let mut p = BestFit::default();
         let mut tight = 0;
@@ -394,31 +428,37 @@ mod tests {
     #[test]
     fn power_spread_follows_headroom() {
         // Row 1 has all the headroom; candidates split across two rows.
-        let mut cands = Vec::new();
-        for i in 0..10u64 {
-            cands.push(Candidate {
-                id: ServerId::new(i),
-                row: RowId::new(if i < 5 { 0 } else { 1 }),
-                free: Resources::new(32_000, 100_000),
-                utilization: 0.0,
-            });
-        }
-        let by_row = vec![(0..5).collect::<Vec<_>>(), (5..10).collect::<Vec<_>>()];
-        let ctx = PlacementContext {
-            candidates: &cands,
-            by_row: &by_row,
-            row_headroom: &[0.01, 0.5],
-        };
+        let c = cluster(2, &[32_000; 10]);
+        let ctx = PlacementContext::new(&c, &[0.01, 0.5]);
+        assert_eq!((ctx.row_range(0), ctx.row_range(1)), (0..5, 5..10));
         let mut rng = derive_stream(4, 3);
         let mut p = PowerSpread::default();
         let mut row1 = 0;
         for _ in 0..200 {
             let idx = p.place(&job(1_000), &ctx, &mut rng).unwrap();
-            if cands[idx].row == RowId::new(1) {
+            if c.server(ctx.server(idx)).row() == RowId::new(1) {
                 row1 += 1;
             }
         }
         // headroom^2 ratio is 2500:1, so row 1 dominates.
         assert!(row1 >= 190, "row1 = {row1}");
+    }
+
+    #[test]
+    fn row_range_skips_frozen_servers() {
+        let mut c = cluster(2, &[32_000; 8]);
+        for i in [0, 2, 4, 5, 6, 7] {
+            c.server_mut(ServerId::new(i)).freeze();
+        }
+        let ctx = PlacementContext::new(&c, &[]);
+        // Candidates: servers 1 and 3 (row 0); row 1 is fully frozen.
+        assert_eq!(ctx.len(), 2);
+        assert_eq!(
+            (ctx.server(0), ctx.server(1)),
+            (ServerId::new(1), ServerId::new(3))
+        );
+        assert_eq!(ctx.row_range(0), 0..2);
+        assert!(ctx.row_range(1).is_empty());
+        assert!(ctx.row_range(2).is_empty());
     }
 }

@@ -1,5 +1,6 @@
-//! The scheduler's low level: queueing, candidate tracking, dispatch,
-//! and the freeze/unfreeze interface Ampere controls power through.
+//! The scheduler's low level: queueing, dispatch against the cluster's
+//! unfrozen servers, and the freeze/unfreeze interface Ampere controls
+//! power through.
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
@@ -13,7 +14,7 @@ use ampere_telemetry::{
 };
 use ampere_workload::JobRequest;
 
-use crate::policy::{Candidate, PlacementContext, PlacementPolicy};
+use crate::policy::{PlacementContext, PlacementPolicy};
 
 /// Counters the evaluation reads after a run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,10 +94,6 @@ pub struct Scheduler {
     tick_span: SpanCtx,
     /// Span + start time per frozen server, keyed by raw server id.
     freeze_book: HashMap<u64, FreezeRecord>,
-    /// Reusable candidate-snapshot buffers: dispatch runs every tick
-    /// over the whole fleet, so the snapshot must not reallocate.
-    cand_scratch: Vec<Candidate>,
-    by_row_scratch: Vec<Vec<usize>>,
     /// Double buffer for the requeue pass (swapped with `queue` each
     /// round instead of allocating a fresh deque).
     spare_queue: VecDeque<(JobRequest, u64)>,
@@ -141,8 +138,6 @@ impl Scheduler {
             clock_warned: false,
             tick_span: SpanCtx::NONE,
             freeze_book: HashMap::new(),
-            cand_scratch: Vec::new(),
-            by_row_scratch: Vec::new(),
             spare_queue: VecDeque::new(),
             submitted_counter: telemetry.counter("sched_jobs_submitted", &[]),
             placed_counter: telemetry.counter("sched_jobs_placed", &[]),
@@ -323,10 +318,12 @@ impl Scheduler {
         self.completed_counter.inc_by(count);
     }
 
-    /// One dispatch round: builds the candidate snapshot (unfrozen
-    /// servers), then walks the queue placing jobs through the policy.
-    /// Jobs that do not fit anywhere stay queued (the paper: "there are
-    /// often jobs waiting in the scheduler queue").
+    /// One dispatch round: walks the queue placing jobs through the
+    /// policy, which reads the unfrozen servers straight from the
+    /// cluster's columns ([`PlacementContext`]), so each placement is
+    /// visible to the next decision without a per-round copy. Jobs that
+    /// do not fit anywhere stay queued (the paper: "there are often jobs
+    /// waiting in the scheduler queue").
     ///
     /// `row_headroom` optionally carries per-row normalized unused power
     /// for headroom-aware policies; pass `&[]` otherwise.
@@ -334,63 +331,43 @@ impl Scheduler {
         let _timer = self.dispatch_timer.start();
         let _phase = self.profiler.phase(TickPhase::Schedule);
         let (now, unset) = self.stamp();
-        let mut candidates = mem::take(&mut self.cand_scratch);
-        candidates.clear();
-        let mut by_row = mem::take(&mut self.by_row_scratch);
-        by_row.iter_mut().for_each(Vec::clear);
-        by_row.resize_with(cluster.row_count(), Vec::new);
-        cluster.each_candidate(|id, row, free, utilization| {
-            by_row[row.index()].push(candidates.len());
-            candidates.push(Candidate {
-                id,
-                row,
-                free,
-                utilization,
-            });
-        });
-
-        let mut placed = Vec::new();
+        let budget = self.dispatch_budget.min(self.queue.len());
+        let mut placed = Vec::with_capacity(budget);
         let mut still_queued = mem::take(&mut self.spare_queue);
         still_queued.clear();
-        let budget = self.dispatch_budget.min(self.queue.len());
         for _ in 0..budget {
             let (job, submitted_round) = self.queue.pop_front().expect("budget <= len");
-            let ctx = PlacementContext {
-                candidates: &candidates,
-                by_row: &by_row,
-                row_headroom,
+            let ctx = PlacementContext::new(cluster, row_headroom);
+            let target = self
+                .policy
+                .place(&job, &ctx, &mut self.rng)
+                .map(|k| ctx.server(k));
+            let Some(target) = target else {
+                still_queued.push_back((job, submitted_round));
+                continue;
             };
-            match self.policy.place(&job, &ctx, &mut self.rng) {
-                Some(idx) => {
-                    let target = candidates[idx].id;
-                    match cluster
-                        .server_mut(target)
-                        .place(job.id, job.resources, job.duration)
-                    {
-                        Ok(()) => {
-                            let s = cluster.server(target);
-                            candidates[idx].free = s.free();
-                            candidates[idx].utilization = s.utilization();
-                            self.stats.placed += 1;
-                            let waited = (self.round - submitted_round) as f64;
-                            self.wait_rounds.push(waited);
-                            self.wait_hist.record(waited);
-                            placed.push((job.id, target));
-                        }
-                        Err(_) => {
-                            // The policy picked a stale candidate; requeue.
-                            still_queued.push_back((job, submitted_round));
-                        }
-                    }
+            match cluster
+                .server_mut(target)
+                .place(job.id, job.resources, job.duration)
+            {
+                Ok(()) => {
+                    self.stats.placed += 1;
+                    let waited = (self.round - submitted_round) as f64;
+                    self.wait_rounds.push(waited);
+                    self.wait_hist.record(waited);
+                    placed.push((job.id, target));
                 }
-                None => still_queued.push_back((job, submitted_round)),
+                Err(_) => {
+                    // The built-in policies pick only servers that fit
+                    // the live columns, so the error is `DuplicateJob`:
+                    // this id already runs on the target. Requeue it.
+                    still_queued.push_back((job, submitted_round));
+                }
             }
         }
         // Unprocessed (over-budget) jobs keep their order behind retries.
         still_queued.extend(self.queue.drain(..));
         self.spare_queue = mem::replace(&mut self.queue, still_queued);
-        self.cand_scratch = candidates;
-        self.by_row_scratch = by_row;
         self.round += 1;
         self.placed_counter.inc_by(placed.len() as u64);
         self.queue_gauge.set(self.queue.len() as f64);
